@@ -94,12 +94,10 @@ type runConfig struct {
 }
 
 func run(cfg runConfig) error {
-	wsdlSrc, endpoint, operation, args := cfg.wsdlSrc, cfg.endpoint, cfg.operation, cfg.args
-	useCache, repeat, timeout := cfg.useCache, cfg.repeat, cfg.timeout
 	doc := []byte(googleapi.WSDL)
-	if wsdlSrc != "google" {
+	if cfg.wsdlSrc != "google" {
 		var err error
-		doc, err = os.ReadFile(wsdlSrc)
+		doc, err = os.ReadFile(cfg.wsdlSrc)
 		if err != nil {
 			return err
 		}
@@ -108,31 +106,94 @@ func run(cfg runConfig) error {
 	if err != nil {
 		return err
 	}
+	st, err := newStack(cfg, defs)
+	if err != nil {
+		return err
+	}
+	defer st.close()
 
-	reg := typemap.NewRegistry()
-	if defs.TargetNamespace == googleapi.Namespace {
-		if err := googleapi.RegisterTypes(reg); err != nil {
+	call, err := st.svc.Call(cfg.operation)
+	if err != nil {
+		return err
+	}
+	params, err := buildParams(defs, cfg.operation, cfg.args)
+	if err != nil {
+		return err
+	}
+
+	for i := 0; i < cfg.repeat; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), cfg.timeout)
+		start := time.Now()
+		ictx, err := call.InvokeContext(ctx, params...)
+		cancel()
+		if err != nil {
 			return err
 		}
+		fmt.Printf("call %d (%v, hit=%v):\n", i+1, time.Since(start).Round(time.Microsecond), ictx.CacheHit)
+		printResult(ictx.Result)
+	}
+	if st.cache != nil {
+		s := st.cache.Stats()
+		fmt.Printf("cache: %d hits, %d misses, %d bytes\n", s.Hits, s.Misses, s.Bytes)
+	}
+	if st.obs != nil {
+		body, err := json.MarshalIndent(st.obs.Snapshot(), "", "  ")
+		if err != nil {
+			return err
+		}
+		fmt.Printf("observability snapshot:\n%s\n", body)
+	}
+	return nil
+}
+
+// stack is one wsclient process's client side: the service proxy and,
+// with a cache, the cache and its shared-tier connection.
+type stack struct {
+	svc    *client.Service
+	cache  *core.Cache
+	remote *cluster.Remote
+	obs    *obs.Registry
+}
+
+func (st *stack) close() {
+	if st.remote != nil {
+		st.remote.Close()
+	}
+}
+
+// newStack builds the service proxy for defs as the command line asks.
+func newStack(cfg runConfig, defs *wsdl.Definitions) (*stack, error) {
+	reg := typemap.NewRegistry()
+	graph := invalidate.NewGraph()
+	if defs.TargetNamespace == googleapi.Namespace {
+		if err := googleapi.RegisterTypes(reg); err != nil {
+			return nil, err
+		}
+		graph = googleapi.ItemGraph()
 	}
 	codec := soap.NewCodec(reg)
 
 	// With -obs one registry spans the whole stack (cache, client
 	// pivot, retries, transport) so the final snapshot is coherent.
-	var obsReg *obs.Registry
+	st := &stack{}
 	if cfg.showObs {
-		obsReg = obs.NewRegistry()
+		st.obs = obs.NewRegistry()
 	}
 
 	var handlers []client.Handler
-	var cache *core.Cache
-	var remote *cluster.Remote
-	if useCache {
+	if cfg.useCache {
 		reps := rep.NewRegistry(reg, codec)
+		// The invalidator carries the declared write sets: a write
+		// bypasses the cache and bumps the keyspaces it writes, and with
+		// -l2 the bump crosses to the shared daemon and every process
+		// behind it.
+		inv := invalidate.New(graph, st.obs)
 		coreCfg := core.Config{
-			KeyGen:     rep.NewStringKey(),
-			DefaultTTL: time.Hour,
-			Obs:        obsReg,
+			KeyGen:      rep.NewStringKey(),
+			Policy:      writeBypassPolicy(defs, graph),
+			DefaultTTL:  time.Hour,
+			Invalidator: inv,
+			Obs:         st.obs,
 		}
 		// "adaptive" rides core's default selector (which sizes its cost
 		// model to the cache's byte budget); anything else resolves
@@ -143,80 +204,60 @@ func run(cfg runConfig) error {
 		if !strings.EqualFold(cfg.rep, "adaptive") {
 			store, err := reps.Store(cfg.rep)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			coreCfg.Store = store
 		}
 		if cfg.l2 != "" {
-			// The invalidator is what carries epoch bumps between this
-			// process's L1 and the shared daemon; without one the tier
-			// still works, TTL-only.
-			inv := invalidate.New(nil, obsReg)
-			coreCfg.Invalidator = inv
-			remote, err = cluster.New(cluster.Config{
+			remote, err := cluster.New(cluster.Config{
 				Addrs:       strings.Split(cfg.l2, ","),
 				Inv:         inv,
 				BaseContext: context.Background(),
 			})
 			if err != nil {
-				return err
+				return nil, err
 			}
+			st.remote = remote
 			coreCfg.Tiers = []tier.Tier{remote}
 		}
-		if err := coreCfg.Validate(); err != nil {
-			return err
+		cache, err := core.New(coreCfg)
+		if err != nil {
+			st.close()
+			return nil, err
 		}
-		cache = core.MustNew(coreCfg)
+		st.cache = cache
 		handlers = append(handlers, cache)
 	}
-	if remote != nil {
-		defer remote.Close()
-	}
 
-	opts := client.Options{RecordEvents: true, Handlers: handlers, Obs: obsReg}
+	opts := client.Options{RecordEvents: true, Handlers: handlers, Obs: st.obs}
 	if cfg.retries > 1 {
-		opts.Retry = &transport.RetryPolicy{MaxAttempts: cfg.retries, Obs: obsReg}
+		opts.Retry = &transport.RetryPolicy{MaxAttempts: cfg.retries, Obs: st.obs}
 	}
-	svc, err := client.NewService(defs, codec, &transport.HTTP{MaxResponseBytes: cfg.maxResp, Obs: obsReg}, client.ServiceConfig{
-		Endpoint: endpoint,
+	svc, err := client.NewService(defs, codec, &transport.HTTP{MaxResponseBytes: cfg.maxResp, Obs: st.obs}, client.ServiceConfig{
+		Endpoint: cfg.endpoint,
 		Options:  opts,
 	})
 	if err != nil {
-		return err
+		st.close()
+		return nil, err
 	}
-	call, err := svc.Call(operation)
-	if err != nil {
-		return err
-	}
+	st.svc = svc
+	return st, nil
+}
 
-	params, err := buildParams(defs, operation, args)
-	if err != nil {
-		return err
-	}
-
-	for i := 0; i < repeat; i++ {
-		ctx, cancel := context.WithTimeout(context.Background(), timeout)
-		start := time.Now()
-		ictx, err := call.InvokeContext(ctx, params...)
-		cancel()
-		if err != nil {
-			return err
+// writeBypassPolicy caches every operation of defs except those graph
+// declares a write set for: a write must reach the service on every
+// call, never be answered from the cache.
+func writeBypassPolicy(defs *wsdl.Definitions, graph *invalidate.Graph) core.Policy {
+	ops := make(map[string]core.OperationPolicy)
+	for _, pt := range defs.PortTypes {
+		for name := range pt.Operations {
+			if graph.WritesDeclared(name) {
+				ops[name] = core.OperationPolicy{Cacheable: false}
+			}
 		}
-		fmt.Printf("call %d (%v, hit=%v):\n", i+1, time.Since(start).Round(time.Microsecond), ictx.CacheHit)
-		printResult(ictx.Result)
 	}
-	if cache != nil {
-		s := cache.Stats()
-		fmt.Printf("cache: %d hits, %d misses, %d bytes\n", s.Hits, s.Misses, s.Bytes)
-	}
-	if obsReg != nil {
-		body, err := json.MarshalIndent(obsReg.Snapshot(), "", "  ")
-		if err != nil {
-			return err
-		}
-		fmt.Printf("observability snapshot:\n%s\n", body)
-	}
-	return nil
+	return core.Policy{Operations: ops}
 }
 
 // buildParams coerces name=value arguments to the types the WSDL

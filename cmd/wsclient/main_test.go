@@ -1,9 +1,25 @@
 package main
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/googleapi"
+	"repro/internal/invalidate"
+	"repro/internal/rep"
+	"repro/internal/soap"
+	"repro/internal/tier"
 	"repro/internal/typemap"
 	"repro/internal/wsdl"
 	"repro/internal/xsd"
@@ -104,5 +120,129 @@ func TestCoerce(t *testing.T) {
 	}
 	if _, err := coerce(xsd.BuiltinQName("boolean"), "maybe"); err == nil {
 		t.Error("bad boolean accepted")
+	}
+}
+
+// TestL2WritesReachOriginAndInvalidate runs `wsclient -l2` processes,
+// each a fresh stack as each command invocation is, against one shared
+// daemon. A put must reach the service on every call, replays
+// included, and its bump must cross to the daemon so that the next
+// process reads the new value rather than the daemon's copy of the old.
+func TestL2WritesReachOriginAndInvalidate(t *testing.T) {
+	d, _, err := googleapi.NewDispatcher()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var puts atomic.Int64
+	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		if bytes.Contains(body, []byte(googleapi.OpPutItem)) {
+			puts.Add(1)
+		}
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		d.ServeHTTP(w, r)
+	}))
+	defer origin.Close()
+
+	dinv := invalidate.New(nil, nil)
+	srv, err := cluster.NewServer(cluster.ServerConfig{
+		Tier: core.MustNew(core.Config{
+			KeyGen:      rep.NewStringKey(),
+			Store:       rep.NewCloneCopyStore(),
+			DefaultTTL:  time.Hour,
+			Invalidator: dinv,
+		}),
+		Inv: dinv,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(context.Background(), lis) }()
+	defer func() {
+		srv.Close()
+		if err := <-done; err != nil {
+			t.Errorf("Serve: %v", err)
+		}
+	}()
+
+	defs := googleDefs(t)
+	process := func() *stack {
+		st, err := newStack(runConfig{
+			endpoint: origin.URL + "/",
+			useCache: true,
+			l2:       lis.Addr().String(),
+			rep:      "adaptive",
+			retries:  1,
+			showObs:  true,
+		}, defs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(st.close)
+		return st
+	}
+	invoke := func(st *stack, op string, params []soap.Param) (string, bool) {
+		t.Helper()
+		call, err := st.svc.Call(op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ictx, err := call.InvokeContext(context.Background(), params...)
+		if err != nil {
+			t.Fatalf("%s: %v", op, err)
+		}
+		return fmt.Sprint(ictx.Result), ictx.CacheHit
+	}
+
+	invoke(process(), googleapi.OpPutItem, googleapi.PutItemParams("k", "v1"))
+	if got, _ := invoke(process(), googleapi.OpGetItem, googleapi.GetItemParams("k")); got != "v1" {
+		t.Fatalf("first read = %q, want v1", got)
+	}
+
+	writer := process()
+	for i := 0; i < 2; i++ {
+		if _, hit := invoke(writer, googleapi.OpPutItem, googleapi.PutItemParams("k", "v2")); hit {
+			t.Fatalf("put %d answered from the cache", i+1)
+		}
+	}
+	if got := puts.Load(); got != 3 {
+		t.Fatalf("origin saw %d puts, want 3", got)
+	}
+
+	reader := process()
+	if got, _ := invoke(reader, googleapi.OpGetItem, googleapi.GetItemParams("k")); got != "v2" {
+		t.Fatalf("read after another process's put = %q, want v2", got)
+	}
+	if got, hit := invoke(reader, googleapi.OpGetItem, googleapi.GetItemParams("k")); got != "v2" || !hit {
+		t.Fatalf("repeated read = %q (hit=%v), want a cached v2", got, hit)
+	}
+
+	// Epoch traffic shows in each process's tiers inspection.
+	l2Stats := func(st *stack) tier.Stats {
+		t.Helper()
+		body, err := json.Marshal(st.obs.Snapshot().Inspections["tiers"])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tiers map[string]struct{ Remote tier.Stats }
+		if err := json.Unmarshal(body, &tiers); err != nil {
+			t.Fatal(err)
+		}
+		return tiers["l2"].Remote
+	}
+	if st := l2Stats(writer); st.Bumps != 2 || st.EpochEntries == 0 {
+		t.Fatalf("writer's l2 stats %+v, want 2 bump pushes answered with epochs", st)
+	}
+	if st := l2Stats(reader); st.Syncs == 0 || st.EpochEntries == 0 {
+		t.Fatalf("reader's l2 stats %+v, want a sync that received epochs", st)
 	}
 }

@@ -86,15 +86,15 @@ type Remote struct {
 	// inspection). Plain atomics rather than obs counters: the metric
 	// name would have to carry the configured tier name, and obs
 	// registry names are compile-time constants by convention.
-	gets     atomic.Uint64
-	hits     atomic.Uint64
-	misses   atomic.Uint64
-	puts     atomic.Uint64
-	errors   atomic.Uint64
-	syncs    atomic.Uint64
-	bumps    atomic.Uint64
-	deferred atomic.Uint64
-	restarts atomic.Uint64
+	hits         atomic.Uint64
+	misses       atomic.Uint64
+	puts         atomic.Uint64
+	errors       atomic.Uint64
+	syncs        atomic.Uint64
+	bumps        atomic.Uint64
+	deferred     atomic.Uint64
+	restarts     atomic.Uint64
+	epochEntries atomic.Uint64
 }
 
 var _ tier.Tier = (*Remote)(nil)
@@ -179,7 +179,6 @@ func (r *Remote) nodeFor(key tier.Key) *node {
 // flushed first — an entry must never be served from a daemon that has
 // not yet seen this process's writes.
 func (r *Remote) Get(ctx context.Context, key tier.Key) (tier.Entry, bool, error) {
-	r.gets.Add(1)
 	n := r.nodeFor(key)
 	if err := r.flush(ctx, n); err != nil {
 		return tier.Entry{}, false, fmt.Errorf("cluster: bump flush: %w", err)
@@ -302,13 +301,18 @@ func (r *Remote) BumpEpoch(ctx context.Context, keyspaces []string) error {
 }
 
 // TierStats implements tier.Tier. Entry and byte counts live in the
-// daemons; this side reports traffic.
+// daemons; this side reports traffic, epoch sync traffic included.
 func (r *Remote) TierStats() tier.Stats {
 	return tier.Stats{
-		Hits:   int64(r.hits.Load()),
-		Misses: int64(r.misses.Load()),
-		Stores: int64(r.puts.Load()),
-		Errors: int64(r.errors.Load()),
+		Hits:         int64(r.hits.Load()),
+		Misses:       int64(r.misses.Load()),
+		Stores:       int64(r.puts.Load()),
+		Errors:       int64(r.errors.Load()),
+		Syncs:        int64(r.syncs.Load()),
+		Bumps:        int64(r.bumps.Load()),
+		Deferred:     int64(r.deferred.Load()),
+		Restarts:     int64(r.restarts.Load()),
+		EpochEntries: int64(r.epochEntries.Load()),
 	}
 }
 
@@ -355,10 +359,11 @@ func (r *Remote) flush(ctx context.Context, n *node) error {
 	return r.flushLocked(ctx, n)
 }
 
-// flushLocked sends the pending set as one OpBump and applies the
-// returned table (skipping the local re-application of this process's
-// own single-step bumps — they were already applied locally when the
-// write committed). Pending entries clear only on acknowledgment.
+// flushLocked sends the pending set as one OpBump, with the mirror's
+// cursor, and applies the returned epochs (skipping the local
+// re-application of this process's own single-step bumps — they were
+// already applied locally when the write committed). Pending entries
+// clear only on acknowledgment.
 func (r *Remote) flushLocked(ctx context.Context, n *node) error {
 	if len(n.pending) == 0 {
 		return nil
@@ -368,7 +373,7 @@ func (r *Remote) flushLocked(ctx context.Context, n *node) error {
 		names = append(names, ks)
 	}
 	sort.Strings(names)
-	payload, err := encodeBump(names)
+	payload, err := encodeBump(n.cursor(), names)
 	if err != nil {
 		return err
 	}
@@ -399,22 +404,27 @@ func (r *Remote) flushLocked(ctx context.Context, n *node) error {
 }
 
 // afterMeta reconciles a meta-only response against the node's mirror,
-// fetching the epoch table when the response shows state this process
-// has not seen. It completes before the triggering operation returns,
-// so a Get's caller observes any invalidation that Get's response
-// implied.
+// syncing the epochs changed since the mirror's cursor when the
+// response shows state this process has not seen. It completes before
+// the triggering operation returns, so a Get's caller observes any
+// invalidation that Get's response implied.
 func (r *Remote) afterMeta(ctx context.Context, n *node, m respMeta) {
 	n.epochMu.Lock()
 	needSync := m.bootID != n.bootID || m.version > n.version
+	cur := respMeta{bootID: n.bootID, version: n.version}
 	n.epochMu.Unlock()
 	if !needSync {
 		return
 	}
-	op, resp, err := r.roundTrip(ctx, n, OpSync, nil)
-	if err != nil || op != OpTable {
-		// Leave the mirror stale: bootID/version were not updated, so the
-		// next response re-triggers the sync.
-		r.errors.Add(1)
+	// On failure the mirror stays stale: bootID/version were not
+	// updated, so the next response re-triggers the sync. roundTrip and
+	// unexpected each count the error they report.
+	op, resp, err := r.roundTrip(ctx, n, OpSync, encodeMetaOnly(cur))
+	if err != nil {
+		return
+	}
+	if op != OpTable {
+		r.unexpected("sync", op, resp)
 		return
 	}
 	m2, table, err := decodeTable(resp)
@@ -433,6 +443,7 @@ func (r *Remote) afterMeta(ctx context.Context, n *node, m respMeta) {
 // would stale this process's own fresh fill. A jump of more than one
 // step means another process also bumped, so it is applied.
 func (r *Remote) applyTable(n *node, m respMeta, table map[string]uint64, own map[string]bool) {
+	r.epochEntries.Add(uint64(len(table)))
 	n.epochMu.Lock()
 	restarted := n.bootID != 0 && n.bootID != m.bootID
 	if n.bootID != m.bootID {
@@ -531,6 +542,14 @@ func (r *Remote) roundTrip(ctx context.Context, n *node, op Opcode, payload []by
 	}
 	r.errors.Add(1)
 	return 0, nil, fmt.Errorf("cluster: %s: %w", n.addr, lastErr)
+}
+
+// cursor returns the meta the node's mirror last absorbed: the point a
+// sync or bump asks the daemon to answer from.
+func (n *node) cursor() respMeta {
+	n.epochMu.Lock()
+	defer n.epochMu.Unlock()
+	return respMeta{bootID: n.bootID, version: n.version}
 }
 
 // acquire pops an idle connection or dials a fresh one.

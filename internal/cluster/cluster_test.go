@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -437,5 +438,139 @@ func TestServerRefusesGarbage(t *testing.T) {
 	r := newClient(t, addr, nil)
 	if _, ok, err := r.Get(context.Background(), tier.Key{Hi: 1}); err != nil || ok {
 		t.Fatalf("daemon dead after garbage: ok=%v err=%v", ok, err)
+	}
+}
+
+// syncDelta sends r's node a SYNC from its current cursor and returns
+// the raw table response, leaving the mirror untouched.
+func syncDelta(t *testing.T, r *Remote) []byte {
+	t.Helper()
+	n := r.nodes[0]
+	op, resp, err := r.roundTrip(context.Background(), n, OpSync, encodeMetaOnly(n.cursor()))
+	if err != nil || op != OpTable {
+		t.Fatalf("sync: op=%#x err=%v", byte(op), err)
+	}
+	return resp
+}
+
+// TestSyncDeltaIndependentOfTableSize: once a client has mirrored the
+// table, the answer to its next sync carries what changed since, not
+// the table — one bump elsewhere costs the same bytes over 10 or
+// 10,000 daemon keyspaces.
+func TestSyncDeltaIndependentOfTableSize(t *testing.T) {
+	respLen := func(tableSize int) int {
+		dinv := invalidate.New(nil, nil)
+		for i := 0; i < tableSize; i++ {
+			dinv.ApplyRemote(invalidate.Keyspace(fmt.Sprintf("%s:%05d", ksUsers, i)))
+		}
+		_, addr, _ := startDaemon(t, newFakeTier(dinv), dinv)
+		invA := invalidate.New(nil, nil)
+		newClient(t, addr, invA)
+		rB := newClient(t, addr, invalidate.New(nil, nil))
+		ctx := context.Background()
+
+		// First contact gets the full table.
+		if _, _, err := rB.Get(ctx, tier.KeyOf([]byte("q"))); err != nil {
+			t.Fatal(err)
+		}
+		if got := rB.TierStats().EpochEntries; got != int64(tableSize) {
+			t.Fatalf("first contact received %d entries, want the full %d", got, tableSize)
+		}
+
+		invA.Bump(ksItems)
+		resp := syncDelta(t, rB)
+		m, table, err := decodeTable(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(table) != 1 || table[string(ksItems)] != 1 || m.version != dinv.Version() {
+			t.Fatalf("delta %v at version %d, want {items:1} at %d", table, m.version, dinv.Version())
+		}
+
+		// The client's own sync path takes the same delta and stales B.
+		if _, _, err := rB.Get(ctx, tier.KeyOf([]byte("q"))); err != nil {
+			t.Fatal(err)
+		}
+		st := rB.TierStats()
+		if st.EpochEntries != int64(tableSize)+1 || st.Syncs != 2 {
+			t.Fatalf("after the bump: %d entries over %d syncs, want %d over 2", st.EpochEntries, st.Syncs, tableSize+1)
+		}
+		return len(resp)
+	}
+	small, large := respLen(10), respLen(10000)
+	if small != large {
+		t.Fatalf("one-bump sync response is %d bytes over 10 keyspaces, %d over 10000", small, large)
+	}
+}
+
+// TestSyncFallsBackToFullTable covers the daemon's three full-table
+// cases: first contact, a cursor from another incarnation, and a
+// client that idled past the change log. The last is the dangerous
+// one: a delta built from the wrapped log would omit the keyspace
+// bumped first, and the idle client would keep serving it.
+func TestSyncFallsBackToFullTable(t *testing.T) {
+	dinv := invalidate.New(nil, nil)
+	srv, addr, _ := startDaemon(t, newFakeTier(dinv), dinv)
+	invB := invalidate.New(nil, nil)
+	rB := newClient(t, addr, invB)
+	ctx := context.Background()
+
+	dinv.ApplyRemote(ksUsers)
+	stamp := invB.StampWith(ksItems, invB.Epoch(ksItems))
+	if _, _, err := rB.Get(ctx, tier.KeyOf([]byte("q"))); err != nil {
+		t.Fatal(err)
+	}
+
+	dinv.ApplyRemote(ksItems)
+	for i := 0; i < invalidate.ChangeLogSize; i++ {
+		dinv.ApplyRemote(invalidate.Keyspace(fmt.Sprintf("%s:%d", ksUsers, i)))
+	}
+	full := len(dinv.Snapshot())
+	for _, c := range []struct {
+		name string
+		cur  respMeta
+	}{
+		{"first contact", respMeta{}},
+		{"other incarnation", respMeta{bootID: srv.BootID() + 1, version: dinv.Version()}},
+		{"idle past the log", rB.nodes[0].cursor()},
+	} {
+		op, resp := srv.tableResp(c.cur)
+		_, table, err := decodeTable(resp)
+		if op != OpTable || err != nil || len(table) != full {
+			t.Fatalf("%s: %d entries (err %v), want the full %d", c.name, len(table), err, full)
+		}
+	}
+
+	before := rB.TierStats().EpochEntries
+	if _, _, err := rB.Get(ctx, tier.KeyOf([]byte("q"))); err != nil {
+		t.Fatal(err)
+	}
+	if got := rB.TierStats().EpochEntries - before; got != int64(full) {
+		t.Fatalf("idle client received %d entries, want the full %d", got, full)
+	}
+	if !invalidate.Stale([]invalidate.Stamp{stamp}) {
+		t.Fatal("idle client still holds a fresh stamp on a keyspace bumped while it was away")
+	}
+}
+
+// TestSyncFailureCountedOnce: a sync that cannot reach its daemon is
+// one error, not one per layer that saw it fail.
+func TestSyncFailureCountedOnce(t *testing.T) {
+	dinv := invalidate.New(nil, nil)
+	_, addr, stop := startDaemon(t, newFakeTier(dinv), dinv)
+	r := newClient(t, addr, invalidate.New(nil, nil))
+	if _, _, err := r.Get(context.Background(), tier.KeyOf([]byte("q"))); err != nil {
+		t.Fatal(err)
+	}
+	stop()
+	r.Close()
+
+	before := r.TierStats().Errors
+	n := r.nodes[0]
+	ahead := n.cursor()
+	ahead.version++
+	r.afterMeta(context.Background(), n, ahead)
+	if got := r.TierStats().Errors - before; got != 1 {
+		t.Fatalf("failed sync counted %d errors, want 1", got)
 	}
 }

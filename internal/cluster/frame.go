@@ -17,7 +17,10 @@ import (
 // header. A peer speaking a different version is refused outright
 // (ErrVersionSkew): the protocol has no negotiation, matching versions
 // are a deployment invariant like the shared key-generation strategy.
-const ProtocolVersion = 1
+//
+// Version 2 added the mirror cursor to SYNC and BUMP requests, which
+// lets the daemon answer with the epoch-table delta.
+const ProtocolVersion = 2
 
 // DefaultMaxPayload bounds a frame's payload when the configuration
 // does not say otherwise. Response values are cache entries, which the
@@ -38,8 +41,8 @@ const (
 	OpGet  Opcode = 0x01 // payload: key hi, lo
 	OpPut  Opcode = 0x02 // payload: key, ttl, rep, stamps, value
 	OpDel  Opcode = 0x03 // payload: key hi, lo
-	OpBump Opcode = 0x04 // payload: keyspace list
-	OpSync Opcode = 0x05 // payload: empty
+	OpBump Opcode = 0x04 // payload: mirror cursor, keyspace list
+	OpSync Opcode = 0x05 // payload: mirror cursor
 	OpPing Opcode = 0x06 // payload: empty
 )
 
@@ -52,7 +55,7 @@ const (
 	OpValue Opcode = 0x81 // OpGet hit: meta, ttl, rep, value
 	OpMiss  Opcode = 0x82 // OpGet miss: meta
 	OpOK    Opcode = 0x83 // OpPut/OpDel/OpPing: meta
-	OpTable Opcode = 0x84 // OpSync/OpBump: meta, epoch table
+	OpTable Opcode = 0x84 // OpSync/OpBump: meta, epochs changed since the cursor (or the full table)
 	OpErr   Opcode = 0xFF // any request: error message
 )
 

@@ -36,7 +36,10 @@ func TestDecodeFrameMalformed(t *testing.T) {
 		{"header only, payload declared", valid[:headerSize], 0, ErrTruncated},
 		{"truncated payload", valid[:len(valid)-1], 0, ErrTruncated},
 		{"version zero", append([]byte{0}, valid[1:]...), 0, ErrVersionSkew},
-		{"version future", append([]byte{2}, valid[1:]...), 0, ErrVersionSkew},
+		{"version future", append([]byte{ProtocolVersion + 1}, valid[1:]...), 0, ErrVersionSkew},
+		// A version-1 peer sends SYNC without a cursor; it must be refused,
+		// not read as a cursor-less sync.
+		{"version one sync", []byte{1, byte(OpSync), 0, 0, 0, 0, 0, 0}, 0, ErrVersionSkew},
 		{"unknown opcode", append([]byte{ProtocolVersion, 0x7E}, valid[2:]...), 0, ErrUnknownOpcode},
 		{"oversized length", AppendFrame(nil, OpGet, make([]byte, 100)), 64, ErrFrameTooLarge},
 		{
@@ -102,6 +105,10 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	if p, err := encodeTable(respMeta{bootID: 1, version: 2}, map[string]uint64{"items": 3}); err == nil {
 		f.Add(AppendFrame(nil, OpTable, p))
 	}
+	f.Add(AppendFrame(nil, OpSync, encodeMetaOnly(respMeta{bootID: 5, version: 11})))
+	if p, err := encodeBump(respMeta{bootID: 5, version: 11}, []string{"items", "item:k"}); err == nil {
+		f.Add(AppendFrame(nil, OpBump, p))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Direction 1: hostile bytes. No panics; errors are typed.
@@ -138,8 +145,11 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		if _, _, err := decodeTable(data); err != nil && !errors.Is(err, ErrMalformed) {
 			t.Fatalf("decodeTable: untyped error %v", err)
 		}
-		if _, err := decodeBump(data); err != nil && !errors.Is(err, ErrMalformed) {
+		if _, _, err := decodeBump(data); err != nil && !errors.Is(err, ErrMalformed) {
 			t.Fatalf("decodeBump: untyped error %v", err)
+		}
+		if _, err := decodeMetaOnly(data); err != nil && !errors.Is(err, ErrMalformed) {
+			t.Fatalf("decodeSync: untyped error %v", err)
 		}
 
 		// Direction 2: anything we frame comes back intact.
@@ -224,17 +234,23 @@ func TestMessageRoundTrips(t *testing.T) {
 		if _, err := decodeMetaOnly(append(encodeMetaOnly(m), 0)); !errors.Is(err, ErrMalformed) {
 			t.Fatalf("trailing byte accepted: %v", err)
 		}
+		// A version-1 sync request had an empty payload; as a cursor it
+		// is malformed.
+		if _, err := decodeMetaOnly(nil); !errors.Is(err, ErrMalformed) {
+			t.Fatalf("empty cursor accepted: %v", err)
+		}
 	})
 
 	t.Run("bump", func(t *testing.T) {
+		cur := respMeta{bootID: 3, version: 17}
 		want := []string{"items", "users/1", ""}
-		p, err := encodeBump(want)
+		p, err := encodeBump(cur, want)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := decodeBump(p)
-		if err != nil || !reflect.DeepEqual(got, want) {
-			t.Fatalf("got %v err=%v", got, err)
+		gotCur, got, err := decodeBump(p)
+		if err != nil || gotCur != cur || !reflect.DeepEqual(got, want) {
+			t.Fatalf("cursor %+v keyspaces %v err=%v", gotCur, got, err)
 		}
 	})
 
@@ -275,7 +291,7 @@ func TestMessageRoundTrips(t *testing.T) {
 		if _, err := encodePut(1, key, tier.Entry{Rep: strings.Repeat("r", 300)}); !errors.Is(err, ErrMalformed) {
 			t.Fatalf("300-byte rep name: %v", err)
 		}
-		if _, err := encodeBump([]string{strings.Repeat("k", 1<<17)}); !errors.Is(err, ErrMalformed) {
+		if _, err := encodeBump(respMeta{}, []string{strings.Repeat("k", 1<<17)}); !errors.Is(err, ErrMalformed) {
 			t.Fatalf("128KiB keyspace: %v", err)
 		}
 	})

@@ -14,19 +14,29 @@ import (
 //	put req:      bootID u64 | key.Hi u64 | key.Lo u64 | ttlNanos i64 |
 //	              repLen u8 | rep | nStamps u16 |
 //	              { ksLen u16 | ks | epoch u64 }* | value (rest)
+//	sync req:     cursor
+//	bump req:     cursor | n u16 | { ksLen u16 | ks }*
+//	ping req:     empty
+//	cursor:       bootID u64 | version u64
+//	meta prefix (every response): bootID u64 | version u64
+//	value resp:   meta | ttlNanos i64 | repLen u8 | rep | value (rest)
+//	miss/ok resp: meta
+//	table resp:   meta | n u32 | { ksLen u16 | ks | epoch u64 }*
+//	err resp:     msgLen u16 | msg
 //
 // The put bootID is the daemon incarnation the sender's stamps were
 // minted against. A daemon receiving a put for another incarnation
 // drops it: stamp epochs from a previous boot are meaningless against
 // the fresh epoch cells and could mask bumps (a stamp minted at epoch
 // 5 would stay "fresh" through the first five post-restart bumps).
-//	bump req:     n u16 | { ksLen u16 | ks }*
-//	sync/ping req: empty
-//	meta prefix (every response): bootID u64 | version u64
-//	value resp:   meta | ttlNanos i64 | repLen u8 | rep | value (rest)
-//	miss/ok resp: meta
-//	table resp:   meta | n u32 | { ksLen u16 | ks | epoch u64 }*
-//	err resp:     msgLen u16 | msg
+//
+// The sync/bump cursor is the meta the sender's mirror of this daemon
+// last absorbed (zero before first contact). When its boot ID is the
+// daemon's own and its version is still inside the daemon's change
+// log, the table response carries only the keyspaces advanced since
+// that version, and its meta version is the one the delta is complete
+// up to; otherwise it carries the whole table. The client merges both
+// the same way, so it never needs to know which one it got.
 //
 // Strings (rep names, keyspaces) are bounded by their length prefix;
 // the frame layer already bounds the whole payload, so decoders only
@@ -35,7 +45,8 @@ import (
 // respMeta is the prefix of every non-error response: which daemon
 // incarnation answered and how many epoch mutations it has seen. The
 // client compares both against its per-node mirror after every round
-// trip.
+// trip, and sends the pair it last absorbed back as the sync/bump
+// cursor.
 type respMeta struct {
 	bootID  uint64
 	version uint64
@@ -252,7 +263,7 @@ func decodeValue(payload []byte) (respMeta, tier.Entry, error) {
 	return m, e, nil
 }
 
-// --- meta-only responses (miss, ok) ---------------------------------
+// --- meta-only payloads (miss/ok responses, sync request) -----------
 
 func encodeMetaOnly(m respMeta) []byte {
 	return appendMeta(make([]byte, 0, 16), m)
@@ -266,11 +277,12 @@ func decodeMetaOnly(payload []byte) (respMeta, error) {
 
 // --- bump request ---------------------------------------------------
 
-func encodeBump(keyspaces []string) ([]byte, error) {
+func encodeBump(cur respMeta, keyspaces []string) ([]byte, error) {
 	if len(keyspaces) > 0xFFFF {
 		return nil, fmt.Errorf("%w: %d keyspaces", ErrMalformed, len(keyspaces))
 	}
-	b := binary.BigEndian.AppendUint16(nil, uint16(len(keyspaces)))
+	b := appendMeta(nil, cur)
+	b = binary.BigEndian.AppendUint16(b, uint16(len(keyspaces)))
 	var err error
 	for _, ks := range keyspaces {
 		if b, err = appendStr16(b, ks, "keyspace"); err != nil {
@@ -280,17 +292,18 @@ func encodeBump(keyspaces []string) ([]byte, error) {
 	return b, nil
 }
 
-func decodeBump(payload []byte) ([]string, error) {
+func decodeBump(payload []byte) (respMeta, []string, error) {
 	c := cursor{b: payload}
+	cur := c.meta()
 	n := int(c.u16("keyspace count"))
 	var out []string
 	for i := 0; i < n && c.err == nil; i++ {
 		out = append(out, c.str(int(c.u16("keyspace length")), "keyspace"))
 	}
 	if err := c.done(); err != nil {
-		return nil, err
+		return respMeta{}, nil, err
 	}
-	return out, nil
+	return cur, out, nil
 }
 
 // --- epoch table response -------------------------------------------

@@ -66,6 +66,9 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if bootID == 0 {
 		bootID = 1 // 0 is the client's "never contacted" sentinel
 	}
+	// Allocate the epoch change log now, so deltas are answerable from
+	// this incarnation's first bump rather than from its first sync.
+	cfg.Inv.ChangedSince(cfg.Inv.Version())
 	reg := obs.Or(cfg.Obs)
 	return &Server{
 		cfg:        cfg,
@@ -241,31 +244,49 @@ func (s *Server) dispatch(ctx context.Context, op Opcode, payload []byte) (Opcod
 		return OpOK, encodeMetaOnly(s.meta())
 
 	case OpBump:
-		keyspaces, err := decodeBump(payload)
+		cur, keyspaces, err := decodeBump(payload)
 		if err != nil {
 			return OpErr, encodeErr(err.Error())
 		}
 		if err := s.cfg.Tier.BumpEpoch(ctx, keyspaces); err != nil {
 			return OpErr, encodeErr(err.Error())
 		}
-		return s.tableResp()
+		return s.tableResp(cur)
 
 	case OpSync:
-		return s.tableResp()
+		cur, err := decodeMetaOnly(payload)
+		if err != nil {
+			return OpErr, encodeErr(err.Error())
+		}
+		return s.tableResp(cur)
 	}
 	// readFrame validated the opcode, so only a response opcode sent as
 	// a request lands here.
 	return OpErr, encodeErr(fmt.Sprintf("cluster: opcode %#x is not a request", byte(op)))
 }
 
-// tableResp snapshots the epoch table. Version is read before the
-// table: if a bump lands between the two reads the table is the newer
-// state under an older version number, so the client will sync again —
-// over-syncing is safe, a table newer than its version never hides a
-// bump.
-func (s *Server) tableResp() (Opcode, []byte) {
+// tableResp answers a sync or bump with the epochs the client behind
+// cursor cur has not seen. When cur names this incarnation and a
+// version the change log still covers, that is the delta since cur,
+// complete up to the version it is sent under. Otherwise — first
+// contact (boot 0), a client of a previous incarnation, or one idle
+// past the log — it is the full table. For the full table the version
+// is read before the snapshot: if a bump lands between the two reads
+// the table is the newer state under an older version number, so the
+// client will sync again — over-syncing is safe, a table newer than
+// its version never hides a bump.
+func (s *Server) tableResp(cur respMeta) (Opcode, []byte) {
+	if cur.bootID == s.bootID {
+		if epochs, upTo, ok := s.cfg.Inv.ChangedSince(cur.version); ok {
+			return tableFrame(respMeta{bootID: s.bootID, version: upTo}, epochs)
+		}
+	}
 	m := s.meta()
-	resp, err := encodeTable(m, s.cfg.Inv.Snapshot())
+	return tableFrame(m, s.cfg.Inv.Snapshot())
+}
+
+func tableFrame(m respMeta, epochs map[string]uint64) (Opcode, []byte) {
+	resp, err := encodeTable(m, epochs)
 	if err != nil {
 		return OpErr, encodeErr(err.Error())
 	}

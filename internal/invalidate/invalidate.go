@@ -162,8 +162,17 @@ type Invalidator struct {
 	// local or remote. It is the cheap "has anything changed" cursor the
 	// cluster protocol compares across processes: a daemon stamps every
 	// response with its version, and a client whose mirror is behind
-	// fetches the full epoch table.
+	// sends the version it mirrors and receives the epochs changed since
+	// (ChangedSince), or the full table when that version has left the
+	// change log.
 	version atomic.Uint64
+
+	// advanceMu serializes epoch advances so that a cell, version and
+	// the change log move together: ChangedSince under the same lock
+	// sees a log that covers exactly the versions issued so far.
+	// Readers of single cells (the hit path) never take it.
+	advanceMu sync.Mutex
+	log       *changeLog // nil until the first ChangedSince call
 
 	// hookMu guards onBump. Hooks are registered during wiring but the
 	// slice is read on every commit, so registration is also safe at
@@ -246,10 +255,7 @@ func (inv *Invalidator) CommitWrite(op string, params []soap.Param) int {
 	// Hooks fire BEFORE the local cells advance — see OnBump for why the
 	// order is load-bearing.
 	inv.fireOnBump(ks)
-	for _, k := range ks {
-		inv.cell(k).v.Add(1)
-		inv.version.Add(1)
-	}
+	inv.advance(ks...)
 	inv.bumps.Add(int64(len(ks)))
 	inv.writesCommitted.Add(1)
 	return len(ks)
@@ -262,8 +268,7 @@ func (inv *Invalidator) Bump(ks Keyspace) {
 	// Hooks first, then the local advance — same order as CommitWrite,
 	// for the same reason (see OnBump).
 	inv.fireOnBump([]Keyspace{ks})
-	inv.cell(ks).v.Add(1)
-	inv.version.Add(1)
+	inv.advance(ks)
 	inv.bumps.Add(1)
 }
 
@@ -308,8 +313,7 @@ func (inv *Invalidator) fireOnBump(ks []Keyspace) {
 // deliberately does NOT fire OnBump hooks: the bump originated
 // elsewhere and re-pushing it would echo forever between processes.
 func (inv *Invalidator) ApplyRemote(ks Keyspace) {
-	inv.cell(ks).v.Add(1)
-	inv.version.Add(1)
+	inv.advance(ks)
 	inv.bumps.Add(1)
 	inv.remoteBumps.Add(1)
 }
@@ -319,16 +323,88 @@ func (inv *Invalidator) ApplyRemote(ks Keyspace) {
 // enumerate", e.g. a shared daemon restarted and any bumps pushed to
 // the old incarnation are lost. Entries with no stamps (operations
 // with no declared read set) are unaffected, exactly as they are
-// unaffected by ordinary bumps. No hooks fire.
+// unaffected by ordinary bumps. No hooks fire. The change log does not
+// record the sweep: its horizon moves past it, so ChangedSince answers
+// only for versions issued afterwards.
 func (inv *Invalidator) InvalidateAll() {
 	n := int64(0)
+	inv.advanceMu.Lock()
 	inv.cells.Range(func(_, v any) bool {
 		v.(*epoch).v.Add(1)
 		inv.version.Add(1)
 		n++
 		return true
 	})
+	if inv.log != nil {
+		inv.log.horizon = inv.version.Load()
+	}
+	inv.advanceMu.Unlock()
 	inv.bumps.Add(n)
+}
+
+// advance moves each keyspace's epoch and the version forward by one,
+// recording the pairs in the change log once one exists.
+func (inv *Invalidator) advance(ks ...Keyspace) {
+	inv.advanceMu.Lock()
+	for _, k := range ks {
+		c := inv.cell(k)
+		c.v.Add(1)
+		v := inv.version.Add(1)
+		if inv.log != nil {
+			inv.log.recs[v%ChangeLogSize] = change{ks: k, cell: c}
+		}
+	}
+	inv.advanceMu.Unlock()
+}
+
+// ChangeLogSize is how many recent epoch advances ChangedSince can
+// answer from. A client whose mirror trails the daemon by more falls
+// back to the full table; between two contacts of a busy client the
+// daemon typically advances a handful of versions.
+const ChangeLogSize = 512
+
+// change is one logged epoch advance. Its version is implied by its
+// slot: version v lives at recs[v%ChangeLogSize].
+type change struct {
+	ks   Keyspace
+	cell *epoch
+}
+
+// changeLog is a ring of the most recent epoch advances. Versions in
+// (max(horizon, version-ChangeLogSize), version] are answerable.
+type changeLog struct {
+	recs    [ChangeLogSize]change
+	horizon uint64 // versions at or below it were never logged
+}
+
+// ChangedSince returns the current epochs of every keyspace advanced
+// after version since, together with the version the answer is
+// complete up to. ok is false when since predates what the change log
+// holds (or lies ahead of the current version); the caller must then
+// fall back to the full table (Snapshot). The log is allocated on the
+// first call, so only an Invalidator that serves incremental syncs —
+// the daemon's — pays for it; that first call can answer only for the
+// current version.
+func (inv *Invalidator) ChangedSince(since uint64) (epochs map[string]uint64, upTo uint64, ok bool) {
+	inv.advanceMu.Lock()
+	defer inv.advanceMu.Unlock()
+	upTo = inv.version.Load()
+	if inv.log == nil {
+		inv.log = &changeLog{horizon: upTo}
+	}
+	lo := inv.log.horizon
+	if upTo > ChangeLogSize && upTo-ChangeLogSize > lo {
+		lo = upTo - ChangeLogSize
+	}
+	if since < lo || since > upTo {
+		return nil, upTo, false
+	}
+	epochs = make(map[string]uint64, upTo-since)
+	for v := since + 1; v <= upTo; v++ {
+		r := inv.log.recs[v%ChangeLogSize]
+		epochs[string(r.ks)] = r.cell.v.Load()
+	}
+	return epochs, upTo, true
 }
 
 // Version returns the count of epoch mutations applied so far; it

@@ -1,6 +1,8 @@
 package invalidate
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/obs"
@@ -119,5 +121,113 @@ func TestReadSetExposesGraphResolution(t *testing.T) {
 	}
 	if inv.ReadSet("doUndeclared", nil) != nil {
 		t.Fatal("undeclared op has a read set")
+	}
+}
+
+// TestChangedSince pins the change log's contract: answers list each
+// keyspace advanced after the cursor once, at its current epoch; the
+// log answers only for versions it covers — from its allocation, back
+// ChangeLogSize advances, and never across an InvalidateAll.
+func TestChangedSince(t *testing.T) {
+	inv := New(itemGraph(), nil)
+	inv.CommitWrite(opPutItem, params("x")) // versions 1, 2: before the log
+	if _, upTo, ok := inv.ChangedSince(0); ok || upTo != 2 {
+		t.Fatalf("ChangedSince before allocation: ok=%v upTo=%d, want a miss at 2", ok, upTo)
+	}
+	if got, upTo, ok := inv.ChangedSince(2); !ok || upTo != 2 || len(got) != 0 {
+		t.Fatalf("ChangedSince(current) = %v, %d, %v; want an empty answer", got, upTo, ok)
+	}
+
+	inv.CommitWrite(opPutItem, params("x")) // 3, 4
+	inv.ApplyRemote(ksItems)                // 5
+	got, upTo, ok := inv.ChangedSince(2)
+	want := map[string]uint64{string(ksItemX): 2, string(ksItems): 3}
+	if !ok || upTo != 5 || len(got) != len(want) {
+		t.Fatalf("ChangedSince(2) = %v, %d, %v; want %v at 5", got, upTo, ok, want)
+	}
+	for ks, e := range want {
+		if got[ks] != e {
+			t.Fatalf("ChangedSince(2) = %v, want %v", got, want)
+		}
+	}
+	if _, _, ok := inv.ChangedSince(6); ok {
+		t.Fatal("ChangedSince answered for a version not yet issued")
+	}
+
+	// Fill the ring: version 5 is the oldest cursor still answerable once
+	// ChangeLogSize advances sit on top of it.
+	for i := 0; i < ChangeLogSize; i++ {
+		inv.ApplyRemote(Keyspace(itemPrefix + fmt.Sprint(i)))
+	}
+	if got, upTo, ok := inv.ChangedSince(5); !ok || upTo != 5+ChangeLogSize || len(got) != ChangeLogSize {
+		t.Fatalf("ChangedSince(oldest) = %d entries, %d, %v", len(got), upTo, ok)
+	}
+	if _, _, ok := inv.ChangedSince(4); ok {
+		t.Fatal("ChangedSince answered from an overwritten slot")
+	}
+
+	v := inv.Version()
+	inv.InvalidateAll()
+	if _, _, ok := inv.ChangedSince(v); ok {
+		t.Fatal("ChangedSince answered across InvalidateAll")
+	}
+	if got, _, ok := inv.ChangedSince(inv.Version()); !ok || len(got) != 0 {
+		t.Fatalf("ChangedSince after InvalidateAll = %v, %v", got, ok)
+	}
+}
+
+// TestChangedSinceConcurrent syncs a mirror by deltas, falling back to
+// the full table as the daemon does, while writers advance epochs. Once
+// the writers stop, one more sync must leave the mirror equal to the
+// live table: no advance slips between a version and its log entry.
+func TestChangedSinceConcurrent(t *testing.T) {
+	inv := New(itemGraph(), nil)
+	inv.ChangedSince(0)
+	mirror := map[string]uint64{}
+	var cur uint64
+	resync := func() {
+		epochs, upTo, ok := inv.ChangedSince(cur)
+		if !ok {
+			upTo = inv.Version()
+			epochs = inv.Snapshot()
+		}
+		for ks, e := range epochs {
+			if e > mirror[ks] {
+				mirror[ks] = e
+			}
+		}
+		cur = upTo
+	}
+
+	const writers, writesEach = 4, 400
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < writesEach; i++ {
+				inv.CommitWrite(opPutItem, params(fmt.Sprint((w*writesEach+i)%7)))
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+			resync()
+		}
+	}
+	resync()
+	live := inv.Snapshot()
+	if len(mirror) != len(live) {
+		t.Fatalf("mirror has %d keyspaces, table %d", len(mirror), len(live))
+	}
+	for ks, e := range live {
+		if mirror[ks] != e {
+			t.Fatalf("mirror[%s] = %d, table %d", ks, mirror[ks], e)
+		}
 	}
 }

@@ -13,12 +13,12 @@ import (
 // time it classifies each result and delegates to the best applicable
 // representation:
 //
-//	0) stream-accepting consumer  → raw response replay (pre-empts all)
-//	a) immutable types            → pass by reference
-//	b) Cloner implementations     → copy by clone (generated classes)
-//	c) bean-type object graphs    → copy by reflection
-//	d) gob-encodable graphs       → gob serialization
-//	e) everything else            → SAX event sequence
+//	(0) stream-accepting consumer  → raw response replay (pre-empts all)
+//	(a) immutable types            → pass by reference
+//	(b) Cloner implementations     → copy by clone (generated classes)
+//	(c) bean-type object graphs    → copy by reflection
+//	(d) gob-encodable graphs       → gob serialization
+//	(e) everything else            → SAX event sequence
 //
 // The paper's list omits clone (its WSDL compiler did not yet emit
 // clone methods) but argues it should; ours does, so clone slots in

@@ -100,6 +100,18 @@ type Stats struct {
 	Errors  int64
 	Entries int
 	Bytes   int
+
+	// Epoch-propagation traffic of a tier that mirrors a remote epoch
+	// table; zero for tiers that do not. Syncs counts completed table
+	// syncs, Bumps the bump pushes issued, Deferred the pushes that
+	// could not reach a daemon and stayed pending, Restarts the daemon
+	// restarts observed, and EpochEntries the keyspace epochs received
+	// in sync and bump responses.
+	Syncs        int64
+	Bumps        int64
+	Deferred     int64
+	Restarts     int64
+	EpochEntries int64
 }
 
 // Tier is one level of the cache hierarchy. Implementations must be
